@@ -42,7 +42,7 @@ func loadInputs() {
 	onceInputs.Do(func() {
 		rmatG = grgen.RMAT(11, 16, 1)
 		perm := matrix.DegreeDescPerm(rmatG)
-		rmatL = matrix.Tril(matrix.Permute(rmatG, perm))
+		rmatL = matrix.PermuteTril(rmatG, perm)
 		const n = 1 << 12
 		erA = grgen.ErdosRenyi(n, 16, 11)
 		erB = grgen.ErdosRenyi(n, 16, 12)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/grgen"
 	"repro/internal/matrix"
+	"repro/internal/semiring"
 )
 
 // completeGraph returns K_n (no self-loops).
@@ -122,6 +123,44 @@ func TestTriangleCountERSym(t *testing.T) {
 	}
 	if got.Triangles != want {
 		t.Errorf("triangles = %d, want %d", got.Triangles, want)
+	}
+}
+
+// TestTriangleCountNonSymmetricMatchesTrilOfPermute pins that the fused
+// relabel-and-tril assumes no symmetry: on directed inputs with self-loops,
+// TriangleCount must still compute sum(L .* (L·L)) for L =
+// Tril(Permute(g, DegreeDescPerm(g))), exactly as the unfused path does.
+func TestTriangleCountNonSymmetricMatchesTrilOfPermute(t *testing.T) {
+	withLoops := grgen.ErdosRenyi(300, 12, 9)
+	c := &matrix.COO[float64]{NRows: withLoops.NRows, NCols: withLoops.NCols}
+	for i := Index(0); i < withLoops.NRows; i++ {
+		cols, vals := withLoops.Row(i)
+		for k, j := range cols {
+			c.Row, c.Col, c.Val = append(c.Row, i), append(c.Col, j), append(c.Val, vals[k])
+		}
+		if i%4 == 0 {
+			c.Row, c.Col, c.Val = append(c.Row, i), append(c.Col, i), append(c.Val, 1)
+		}
+	}
+	for name, g := range map[string]*matrix.CSR[float64]{
+		"rmat-directed": grgen.RMATDirected(9, 16, 3),
+		"er-with-loops": matrix.NewCSRFromCOO(c, nil),
+	} {
+		l := matrix.Tril(matrix.Permute(g, matrix.DegreeDescPerm(g)))
+		want := int64(matrix.Sum(core.Reference(l.Pattern(), l, l, semiring.PlusPairF(), false)))
+		if want == 0 {
+			t.Fatalf("%s: reference found no triangles; the input does not exercise the count", name)
+		}
+		s := NewSession(core.Options{Threads: 2})
+		for _, eng := range []Engine{s.EngineAuto(), s.EngineVariant(core.Variant{Alg: core.MSA, Phase: core.OnePhase})} {
+			got, err := TriangleCount(g, eng)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, eng.Name, err)
+			}
+			if got.Triangles != want {
+				t.Errorf("%s/%s: triangles = %d, want %d", name, eng.Name, got.Triangles, want)
+			}
+		}
 	}
 }
 

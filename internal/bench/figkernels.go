@@ -43,7 +43,7 @@ func KernelsStudy(cfg Config) (*Table, error) {
 		scale, deg = 10, 16
 	}
 	g := grgen.WattsStrogatz(1<<scale, deg, 0.05, cfg.Seed)
-	l := matrix.Tril(matrix.Permute(g, matrix.DegreeDescPerm(g)))
+	l := matrix.PermuteTril(g, matrix.DegreeDescPerm(g))
 	m := l.Pattern()
 	t.Notes = append(t.Notes, fmt.Sprintf("L: %d rows, %d nnz", l.NRows, l.NNZ()))
 

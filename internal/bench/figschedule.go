@@ -63,7 +63,7 @@ func ScheduleStudy(cfg Config) (*Table, error) {
 	}
 	sr := semiring.PlusPairF()
 	for _, g := range graphs {
-		l := matrix.Tril(matrix.Permute(g.Graph, matrix.DegreeDescPerm(g.Graph)))
+		l := matrix.PermuteTril(g.Graph, matrix.DegreeDescPerm(g.Graph))
 		m := l.Pattern()
 		costs := core.ComputeRowCosts(m, l.Pattern(), l.Pattern(), cfg.Threads)
 		if costs == nil {

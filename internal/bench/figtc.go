@@ -85,7 +85,7 @@ func tcProfile(cfg Config, engines []apps.Engine) (*perfprof.Profile, error) {
 	}
 	for ci, g := range corpus {
 		if cfg.Explain {
-			l := matrix.Tril(matrix.Permute(g.Graph, matrix.DegreeDescPerm(g.Graph)))
+			l := matrix.PermuteTril(g.Graph, matrix.DegreeDescPerm(g.Graph))
 			maybeExplain(cfg, "TC "+g.Name, l.Pattern(), l.Pattern(), l.Pattern())
 		}
 		for ei, eng := range engines {

@@ -16,12 +16,12 @@ import (
 // finish, so iterative callers (BFS, BC, MCL, k-truss sweeps) stop paying
 // an O(ncols) allocation per worker per call.
 //
-// Workspaces is safe for concurrent use (sync.Pool underneath) and a nil
-// *Workspaces disables pooling entirely: every helper falls back to a fresh
-// allocation, which is the pre-session behavior. Pooled entries hold no row
-// state between calls — each kernel leaves its accumulator fully reset (the
-// per-row reset discipline the kernels already follow), so reuse is
-// bit-identical to fresh scratch.
+// Workspaces is safe for concurrent use (sync.Pools and mutex-guarded free
+// lists underneath) and a nil *Workspaces disables pooling entirely: every
+// helper falls back to a fresh allocation, which is the pre-session
+// behavior. Pooled entries hold no row state between calls — each kernel
+// leaves its accumulator fully reset (the per-row reset discipline the
+// kernels already follow), so reuse is bit-identical to fresh scratch.
 //
 // Overlapping calls — the serving layer admits several multiplies on one
 // session at once — are safe by ownership discipline: every pooled object
@@ -50,10 +50,13 @@ type Workspaces struct {
 	// layer beyond the returned output. Class c holds buffers with capacity
 	// in [2^c, 2^(c+1)); buffers are allocated with capacity rounded up to
 	// the class boundary, so a stable working size always lands back in the
-	// class it is fetched from.
-	i64 [poolClasses]sync.Pool // *bufI64
-	idx [poolClasses]sync.Pool // *bufIdx
-	val [poolClasses]sync.Pool // *bufVal[T]
+	// class it is fetched from. The classes are free lists, not sync.Pools:
+	// a sync.Pool Put lands in the calling processor's private slot, which a
+	// Get on another processor cannot take, so a warmed session would still
+	// miss whenever its next call ran its driver on a different P.
+	i64 [poolClasses]freeList // *bufI64
+	idx [poolClasses]freeList // *bufIdx
+	val [poolClasses]freeList // *bufVal[T]
 
 	// drvGets/drvMisses instrument the driver pools: a "miss" is a Get that
 	// had to allocate. Warmed steady state shows zero new misses; the alloc
@@ -63,6 +66,42 @@ type Workspaces struct {
 
 // poolClasses bounds the size-class ladder (2^47 elements ≫ any host).
 const poolClasses = 48
+
+// freeListCap bounds each driver size class: one multiply holds at most
+// three buffers of a class at once, so this keeps a warmed session's
+// buffers for a couple of overlapping calls and drops the rest to the GC.
+// Unlike a sync.Pool, a free list never empties itself, so the bound is
+// also what an idle session retains per class.
+const freeListCap = 8
+
+// freeList is a bounded LIFO of retired driver buffers for one size class.
+// Every Get sees every earlier Put, whichever goroutine or processor made
+// it.
+type freeList struct {
+	mu   sync.Mutex
+	free []any
+}
+
+func (f *freeList) get() any {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	n := len(f.free)
+	if n == 0 {
+		return nil
+	}
+	v := f.free[n-1]
+	f.free[n-1] = nil
+	f.free = f.free[:n-1]
+	return v
+}
+
+func (f *freeList) put(v any) {
+	f.mu.Lock()
+	if len(f.free) < freeListCap {
+		f.free = append(f.free, v)
+	}
+	f.mu.Unlock()
+}
 
 // bufI64/bufIdx/bufVal box a pooled slice so the box itself is reused
 // through the pool: Get and Put move the same pointer, allocating nothing in
@@ -118,7 +157,7 @@ func wsGetI64(ws *Workspaces, n int) *bufI64 {
 	if ws != nil {
 		ws.drvGets.Add(1)
 		c := sizeClass(n)
-		if v, ok := ws.i64[c].Get().(*bufI64); ok && cap(v.s) >= n {
+		if v, ok := ws.i64[c].get().(*bufI64); ok && cap(v.s) >= n {
 			v.s = v.s[:n]
 			return v
 		}
@@ -130,7 +169,7 @@ func wsGetI64(ws *Workspaces, n int) *bufI64 {
 
 func wsPutI64(ws *Workspaces, b *bufI64) {
 	if ws != nil && b != nil && cap(b.s) > 0 {
-		ws.i64[sizeClass(cap(b.s))].Put(b)
+		ws.i64[sizeClass(cap(b.s))].put(b)
 	}
 }
 
@@ -138,7 +177,7 @@ func wsGetIdx(ws *Workspaces, n int) *bufIdx {
 	if ws != nil {
 		ws.drvGets.Add(1)
 		c := sizeClass(n)
-		if v, ok := ws.idx[c].Get().(*bufIdx); ok && cap(v.s) >= n {
+		if v, ok := ws.idx[c].get().(*bufIdx); ok && cap(v.s) >= n {
 			v.s = v.s[:n]
 			return v
 		}
@@ -150,7 +189,7 @@ func wsGetIdx(ws *Workspaces, n int) *bufIdx {
 
 func wsPutIdx(ws *Workspaces, b *bufIdx) {
 	if ws != nil && b != nil && cap(b.s) > 0 {
-		ws.idx[sizeClass(cap(b.s))].Put(b)
+		ws.idx[sizeClass(cap(b.s))].put(b)
 	}
 }
 
@@ -158,7 +197,7 @@ func wsGetVal[T any](ws *Workspaces, n int) *bufVal[T] {
 	if ws != nil {
 		ws.drvGets.Add(1)
 		c := sizeClass(n)
-		if v, ok := ws.val[c].Get().(*bufVal[T]); ok && cap(v.s) >= n {
+		if v, ok := ws.val[c].get().(*bufVal[T]); ok && cap(v.s) >= n {
 			v.s = v.s[:n]
 			return v
 		}
@@ -170,7 +209,7 @@ func wsGetVal[T any](ws *Workspaces, n int) *bufVal[T] {
 
 func wsPutVal[T any](ws *Workspaces, b *bufVal[T]) {
 	if ws != nil && b != nil && cap(b.s) > 0 {
-		ws.val[sizeClass(cap(b.s))].Put(b)
+		ws.val[sizeClass(cap(b.s))].put(b)
 	}
 }
 

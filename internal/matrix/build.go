@@ -156,108 +156,83 @@ func Triu[T any](a *CSR[T]) *CSR[T] {
 
 // Permute returns P·A·Pᵀ for the permutation perm, i.e. the matrix with
 // rows and columns relabeled so that old vertex v becomes perm[v]. Rows of
-// the result are sorted. perm must be a bijection on [0, NRows); the matrix
-// must be square.
+// the result are sorted, by two counting-sort passes and no comparison sort.
+// perm must be a bijection on [0, NRows); the matrix must be square.
 func Permute[T any](a *CSR[T], perm []Index) *CSR[T] {
+	return Transpose(permuteT(a, perm, false))
+}
+
+// PermuteTril returns Tril(Permute(a, perm)) — the strictly lower part of
+// P·A·Pᵀ, the L of triangle counting (§8.2) — without forming the full
+// permuted matrix. It assumes nothing of a beyond Permute's contract; in
+// particular a need not be symmetric.
+func PermuteTril[T any](a *CSR[T], perm []Index) *CSR[T] {
+	return Transpose(permuteT(a, perm, true))
+}
+
+// permuteT returns (P·A·Pᵀ)ᵀ, keeping only the entries of P·A·Pᵀ with new
+// column < new row when lower is set. It visits the new rows in ascending
+// order and buckets each entry by its new column, so every row of the
+// result comes out sorted; Transpose (a second counting sort) then yields
+// P·A·Pᵀ with sorted rows.
+func permuteT[T any](a *CSR[T], perm []Index, lower bool) *CSR[T] {
 	n := a.NRows
-	nnz := a.NNZ()
+	inv := make([]Index, n)
 	ptr := make([]Index, n+1)
 	for i := Index(0); i < n; i++ {
-		ptr[perm[i]+1] = a.RowPtr[i+1] - a.RowPtr[i]
-	}
-	for i := Index(0); i < n; i++ {
-		ptr[i+1] += ptr[i]
-	}
-	col := make([]Index, nnz)
-	val := make([]T, nnz)
-	for i := Index(0); i < n; i++ {
-		dst := ptr[perm[i]]
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			col[dst] = perm[a.Col[k]]
-			val[dst] = a.Val[k]
-			dst++
+		r := perm[i]
+		inv[r] = i
+		for _, j := range a.Col[a.RowPtr[i]:a.RowPtr[i+1]] {
+			if c := perm[j]; !lower || c < r {
+				ptr[c+1]++
+			}
 		}
 	}
-	out := &CSR[T]{NRows: n, NCols: n, RowPtr: ptr, Col: col, Val: val}
-	out.SortRows()
-	return out
+	for c := Index(0); c < n; c++ {
+		ptr[c+1] += ptr[c]
+	}
+	col := make([]Index, ptr[n])
+	val := make([]T, ptr[n])
+	next := append([]Index(nil), ptr[:n]...)
+	for r := Index(0); r < n; r++ {
+		i := inv[r]
+		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+			if c := perm[a.Col[k]]; !lower || c < r {
+				col[next[c]] = r
+				val[next[c]] = a.Val[k]
+				next[c]++
+			}
+		}
+	}
+	return &CSR[T]{NRows: n, NCols: n, RowPtr: ptr, Col: col, Val: val}
 }
 
 // DegreeDescPerm returns a permutation that relabels vertices in
 // non-increasing order of degree (row nnz), breaking ties by original id.
 // Triangle counting uses this relabeling for optimal performance (§8.2).
+// It is a stable counting sort on degree: O(n + maxdeg).
 func DegreeDescPerm[T any](a *CSR[T]) []Index {
 	n := a.NRows
-	order := make([]Index, n)
-	for i := range order {
-		order[i] = Index(i)
+	maxDeg := Index(0)
+	for i := Index(0); i < n; i++ {
+		maxDeg = max(maxDeg, a.RowNNZ(i))
 	}
-	deg := func(i Index) Index { return a.RowPtr[i+1] - a.RowPtr[i] }
-	// Stable counting-free sort via sort.Slice (degrees are small ints but
-	// simplicity wins here; this is preprocessing, not a kernel).
-	sortSliceStable(order, func(x, y Index) bool {
-		dx, dy := deg(x), deg(y)
-		if dx != dy {
-			return dx > dy
-		}
-		return x < y
-	})
+	// next[maxDeg-d] is the next new label for a degree-d vertex: the
+	// vertices of higher degree all come before it.
+	next := make([]Index, maxDeg+2)
+	for i := Index(0); i < n; i++ {
+		next[maxDeg-a.RowNNZ(i)+1]++
+	}
+	for d := Index(0); d <= maxDeg; d++ {
+		next[d+1] += next[d]
+	}
 	perm := make([]Index, n)
-	for newID, oldID := range order {
-		perm[oldID] = Index(newID)
+	for i := Index(0); i < n; i++ {
+		b := maxDeg - a.RowNNZ(i)
+		perm[i] = next[b]
+		next[b]++
 	}
 	return perm
-}
-
-func sortSliceStable(s []Index, less func(a, b Index) bool) {
-	// Insertion-based merge sort to avoid importing sort with closures in a
-	// hot path; n log n and stable.
-	if len(s) < 2 {
-		return
-	}
-	buf := make([]Index, len(s))
-	mergeSortIdx(s, buf, less)
-}
-
-func mergeSortIdx(s, buf []Index, less func(a, b Index) bool) {
-	n := len(s)
-	if n <= 16 {
-		for i := 1; i < n; i++ {
-			v := s[i]
-			j := i - 1
-			for j >= 0 && less(v, s[j]) {
-				s[j+1] = s[j]
-				j--
-			}
-			s[j+1] = v
-		}
-		return
-	}
-	mid := n / 2
-	mergeSortIdx(s[:mid], buf[:mid], less)
-	mergeSortIdx(s[mid:], buf[mid:], less)
-	copy(buf, s)
-	i, j, k := 0, mid, 0
-	for i < mid && j < n {
-		if less(buf[j], buf[i]) {
-			s[k] = buf[j]
-			j++
-		} else {
-			s[k] = buf[i]
-			i++
-		}
-		k++
-	}
-	for i < mid {
-		s[k] = buf[i]
-		i++
-		k++
-	}
-	for j < n {
-		s[k] = buf[j]
-		j++
-		k++
-	}
 }
 
 // MapValues returns a copy of a with every stored value transformed by f.
