@@ -135,7 +135,7 @@ func BenchmarkFig09Baselines(b *testing.B) {
 func BenchmarkFig10Scaling(b *testing.B) {
 	for _, scale := range []int{8, 10, 12} {
 		g := grgen.RMAT(scale, 16, 1)
-		eng := apps.EngineVariant(core.Variant{Alg: core.MSA, Phase: core.OnePhase}, core.Options{})
+		eng := apps.NewSession(core.Options{}).EngineVariant(core.Variant{Alg: core.MSA, Phase: core.OnePhase})
 		b.Run("scale"+itoa(scale), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := apps.TriangleCount(g, eng); err != nil {
@@ -151,7 +151,7 @@ func BenchmarkFig10Scaling(b *testing.B) {
 func BenchmarkFig11Threads(b *testing.B) {
 	loadInputs()
 	for _, threads := range []int{1, 2, 4} {
-		eng := apps.EngineVariant(core.Variant{Alg: core.MSA, Phase: core.OnePhase}, core.Options{Threads: threads})
+		eng := apps.NewSession(core.Options{Threads: threads}).EngineVariant(core.Variant{Alg: core.MSA, Phase: core.OnePhase})
 		b.Run("threads"+itoa(threads), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := apps.TriangleCount(rmatG, eng); err != nil {
@@ -165,13 +165,14 @@ func BenchmarkFig11Threads(b *testing.B) {
 // BenchmarkFig12KTruss times the full k-truss loop per scheme (Figs. 12-13).
 func BenchmarkFig12KTruss(b *testing.B) {
 	loadInputs()
+	s := apps.NewSession(core.Options{})
 	engines := []apps.Engine{
-		apps.EngineVariant(core.Variant{Alg: core.MSA, Phase: core.OnePhase}, core.Options{}),
-		apps.EngineVariant(core.Variant{Alg: core.Hash, Phase: core.OnePhase}, core.Options{}),
-		apps.EngineVariant(core.Variant{Alg: core.MCA, Phase: core.OnePhase}, core.Options{}),
-		apps.EngineVariant(core.Variant{Alg: core.Inner, Phase: core.OnePhase}, core.Options{}),
-		apps.EngineSSSaxpy(baseline.Options{}),
-		apps.EngineSSDot(baseline.Options{}),
+		s.EngineVariant(core.Variant{Alg: core.MSA, Phase: core.OnePhase}),
+		s.EngineVariant(core.Variant{Alg: core.Hash, Phase: core.OnePhase}),
+		s.EngineVariant(core.Variant{Alg: core.MCA, Phase: core.OnePhase}),
+		s.EngineVariant(core.Variant{Alg: core.Inner, Phase: core.OnePhase}),
+		s.EngineSSSaxpy(),
+		s.EngineSSDot(),
 	}
 	for _, eng := range engines {
 		b.Run(eng.Name, func(b *testing.B) {
@@ -191,7 +192,7 @@ func BenchmarkFig14KTrussScaling(b *testing.B) {
 		g := grgen.RMAT(scale, 16, 1)
 		for _, name := range []string{"MSA-1P", "Inner-1P"} {
 			v, _ := core.VariantByName(name)
-			eng := apps.EngineVariant(v, core.Options{})
+			eng := apps.NewSession(core.Options{}).EngineVariant(v)
 			b.Run("scale"+itoa(scale)+"/"+name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					if _, _, err := apps.KTruss(g, 5, eng); err != nil {
@@ -207,12 +208,13 @@ func BenchmarkFig14KTrussScaling(b *testing.B) {
 // (Figs. 15-16's data).
 func BenchmarkFig15BC(b *testing.B) {
 	loadInputs()
+	s := apps.NewSession(core.Options{})
 	engines := []apps.Engine{
-		apps.EngineVariant(core.Variant{Alg: core.MSA, Phase: core.OnePhase}, core.Options{}),
-		apps.EngineVariant(core.Variant{Alg: core.Hash, Phase: core.OnePhase}, core.Options{}),
-		apps.EngineVariant(core.Variant{Alg: core.MSA, Phase: core.TwoPhase}, core.Options{}),
-		apps.EngineVariant(core.Variant{Alg: core.Hash, Phase: core.TwoPhase}, core.Options{}),
-		apps.EngineSSSaxpy(baseline.Options{}),
+		s.EngineVariant(core.Variant{Alg: core.MSA, Phase: core.OnePhase}),
+		s.EngineVariant(core.Variant{Alg: core.Hash, Phase: core.OnePhase}),
+		s.EngineVariant(core.Variant{Alg: core.MSA, Phase: core.TwoPhase}),
+		s.EngineVariant(core.Variant{Alg: core.Hash, Phase: core.TwoPhase}),
+		s.EngineSSSaxpy(),
 	}
 	for _, eng := range engines {
 		b.Run(eng.Name, func(b *testing.B) {
@@ -500,9 +502,7 @@ func BenchmarkSchedule(b *testing.B) {
 					}
 				}
 				b.StopTimer()
-				// Exact miss counts only hold without -race: the race
-				// detector makes sync.Pool drop a fraction of Puts.
-				if _, missAfter := ws.DriverPoolStats(); !raceEnabled && missAfter != missBefore {
+				if _, missAfter := ws.DriverPoolStats(); missAfter != missBefore {
 					b.Fatalf("warmed drivers performed %d pool-missing allocations over %d ops; want 0",
 						missAfter-missBefore, b.N)
 				}

@@ -115,15 +115,11 @@ func main() {
 	if *algName == "auto" || *explain {
 		plan = planner.AnalyzeModel(mask, a.Pattern(), b.Pattern(), opt, mdl)
 	}
-	if sched == core.SchedCost && *algName != "auto" {
-		// Pinned variants bypass the planner, so the cost profile the
-		// scheduler consumes comes from the explain plan when one was
-		// analyzed, or an explicit sweep otherwise.
-		if plan != nil {
-			opt.RowCosts = plan.Costs
-		} else {
-			opt.RowCosts = core.ComputeRowCosts(mask, a.Pattern(), b.Pattern(), *threads)
-		}
+	if sched == core.SchedCost && *algName != "auto" && plan != nil {
+		// A pinned kernel reuses the explain plan's cost profile instead of
+		// gathering its own (the pinned core entry points sweep when none
+		// is set).
+		opt.RowCosts = plan.Costs
 	}
 	if *explain {
 		// Analyze returns a fresh plan (not a shared cache entry), so the

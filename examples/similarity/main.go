@@ -6,13 +6,13 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
 	"sort"
 
 	"repro/internal/apps"
-	"repro/internal/core"
 	"repro/masked"
 )
 
@@ -25,8 +25,6 @@ func main() {
 	flag.Parse()
 
 	// Synthetic item-feature matrix.
-	f := masked.NewEmpty(0, 0)
-	_ = f
 	fm := rectFeatures(masked.Index(*items), masked.Index(*features), *perItem, *seed)
 	fmt.Printf("features: %d items x %d features, %d entries\n", fm.NRows, fm.NCols, fm.NNZ())
 
@@ -35,8 +33,7 @@ func main() {
 		100*float64(cand.NNZ())/(float64(fm.NRows)*float64(fm.NRows)))
 
 	v, _ := masked.VariantByName("Hash-1P")
-	eng := apps.EngineVariant(v, core.Options{})
-	res, err := apps.CosineSimilarity(fm, cand, eng)
+	res, err := masked.NewSession().CosineSimilarity(context.Background(), fm, cand, masked.WithVariant(v))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 // Cross-module integration tests: end-to-end pipelines that exercise the
-// generators, Matrix Market I/O, all three API levels (internal kernels,
-// grb layer, public facade) and the applications against each other.
+// generators, Matrix Market I/O, both API levels (internal kernels and the
+// public masked.Session facade) and the applications against each other
+// and against the exact reference implementations.
 package repro_test
 
 import (
@@ -10,7 +11,6 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/core"
-	"repro/internal/grb"
 	"repro/internal/grgen"
 	"repro/internal/matrix"
 	"repro/internal/mmio"
@@ -20,7 +20,7 @@ import (
 
 // TestPipelineGenerateWriteReadCount: generate a graph, round-trip it
 // through Matrix Market, and verify that triangle counting agrees across
-// the facade, the grb layer, the apps engines and the exact counter.
+// the facade and the exact counter.
 func TestPipelineGenerateWriteReadCount(t *testing.T) {
 	g := grgen.RMAT(8, 8, 77)
 	path := filepath.Join(t.TempDir(), "g.mtx")
@@ -35,8 +35,6 @@ func TestPipelineGenerateWriteReadCount(t *testing.T) {
 		t.Fatal("matrix market round trip changed the graph")
 	}
 	exact := apps.TriangleCountExact(back)
-	// Facade (session API; the deprecated free wrappers are not used here
-	// so they can carry a removal deadline).
 	v, _ := masked.VariantByName("Hash-1P")
 	s := masked.NewSession()
 	fres, err := s.TriangleCount(context.Background(), back, masked.WithVariant(v))
@@ -45,14 +43,6 @@ func TestPipelineGenerateWriteReadCount(t *testing.T) {
 	}
 	if fres.Triangles != exact {
 		t.Fatalf("facade: %d triangles, want %d", fres.Triangles, exact)
-	}
-	// grb layer.
-	gres, err := grb.TriangleCount(grb.WrapCSR(back), &grb.Desc{Method: core.MCA})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gres != exact {
-		t.Fatalf("grb: %d triangles, want %d", gres, exact)
 	}
 }
 
@@ -92,8 +82,8 @@ func TestPipelineHybridVsFixedOnCorpusShapes(t *testing.T) {
 	}
 }
 
-// TestPipelineBFSAcrossAPIs: single-source facade BFS, grb BFS and the
-// multi-source batch BFS agree with the queue reference on every model.
+// TestPipelineBFSAcrossAPIs: single-source facade BFS and the multi-source
+// batch BFS agree with the queue reference on every model.
 func TestPipelineBFSAcrossAPIs(t *testing.T) {
 	graphs := []*matrix.CSR[float64]{
 		grgen.WattsStrogatz(300, 4, 0.2, 9),
@@ -108,10 +98,6 @@ func TestPipelineBFSAcrossAPIs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		glev, err := grb.BFSLevels(grb.WrapCSR(g), 0, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
 		v, _ := masked.VariantByName("MSA-1P")
 		mres, err := s.MultiSourceBFS(ctx, g, []matrix.Index{0}, masked.WithVariant(v))
 		if err != nil {
@@ -121,9 +107,6 @@ func TestPipelineBFSAcrossAPIs(t *testing.T) {
 			if fres.Level[vtx] != want[vtx] {
 				t.Fatalf("graph %d facade BFS: vertex %d", gi, vtx)
 			}
-			if glev[vtx] != want[vtx] {
-				t.Fatalf("graph %d grb BFS: vertex %d", gi, vtx)
-			}
 			if mres.Levels[0][vtx] != want[vtx] {
 				t.Fatalf("graph %d multi-source BFS: vertex %d", gi, vtx)
 			}
@@ -131,9 +114,9 @@ func TestPipelineBFSAcrossAPIs(t *testing.T) {
 	}
 }
 
-// TestPipelineKTrussConsistency: the specialized k-truss, the grb-native
-// k-truss and the exact reference agree on the mesh (which is triangle-free
-// → empty 3-truss) and on a clique-rich small world graph.
+// TestPipelineKTrussConsistency: the specialized k-truss and the exact
+// reference agree on the mesh (which is triangle-free → empty 3-truss) and
+// on a clique-rich small world graph.
 func TestPipelineKTrussConsistency(t *testing.T) {
 	mesh := grgen.Grid2D(12, 12)
 	v, _ := masked.VariantByName("MCA-1P")
@@ -154,13 +137,6 @@ func TestPipelineKTrussConsistency(t *testing.T) {
 	}
 	if !matrix.EqualPatterns(got.Pattern(), want.Pattern()) {
 		t.Fatalf("ws 4-truss: %d edges vs exact %d", got.NNZ(), want.NNZ())
-	}
-	edges, _, err := grb.KTrussEdges(grb.WrapCSR(ws), 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if edges != want.NNZ() {
-		t.Fatalf("grb 4-truss: %d edges vs exact %d", edges, want.NNZ())
 	}
 }
 
@@ -211,8 +187,7 @@ func TestPipelineMCLOnGenerators(t *testing.T) {
 	coo.Val = append(coo.Val, 1, 1)
 	g := matrix.NewCSRFromCOO(coo, func(x, y float64) float64 { return 1 })
 	v, _ := masked.VariantByName("MSA-1P")
-	eng := apps.EngineVariant(core.Variant{Alg: v.Alg, Phase: v.Phase}, core.Options{})
-	res, err := apps.MCL(g, apps.MCLOptions{}, eng)
+	res, err := masked.NewSession().MCL(context.Background(), g, masked.MCLOptions{}, masked.WithVariant(v))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +202,7 @@ func TestPipelineMCLOnGenerators(t *testing.T) {
 
 // TestPipelineAutoMatchesEveryVariant: the adaptive planner's product is
 // bit-identical to every fixed variant on the integration graph corpus, in
-// both mask modes, and the Auto engine completes every application.
+// both mask modes, and the planner path completes every application.
 func TestPipelineAutoMatchesEveryVariant(t *testing.T) {
 	graphs := []*matrix.CSR[float64]{
 		grgen.WattsStrogatz(400, 6, 0.1, 1),
@@ -265,23 +240,22 @@ func TestPipelineAutoMatchesEveryVariant(t *testing.T) {
 			}
 		}
 	}
-	// Auto engine drives the applications end-to-end.
-	eng := apps.EngineAuto(core.Options{})
+	// The planner path drives the applications end-to-end.
 	g := graphs[3]
-	tc, err := apps.TriangleCount(g, eng)
+	tc, err := s.TriangleCount(ctx, g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if exact := apps.TriangleCountExact(g); tc.Triangles != exact {
 		t.Fatalf("auto TC %d, want %d", tc.Triangles, exact)
 	}
-	if _, _, err := apps.KTruss(g, 4, eng); err != nil {
+	if _, _, err := s.KTruss(ctx, g, 4); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := apps.BetweennessCentrality(g, []matrix.Index{0, 5, 9}, eng); err != nil {
+	if _, err := s.BC(ctx, g, []matrix.Index{0, 5, 9}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := apps.MultiSourceBFS(g, []matrix.Index{0, 1}, eng); err != nil {
+	if _, err := s.MultiSourceBFS(ctx, g, []matrix.Index{0, 1}); err != nil {
 		t.Fatal(err)
 	}
 }

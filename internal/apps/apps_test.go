@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/grgen"
 	"repro/internal/matrix"
@@ -64,7 +63,7 @@ func starGraph(n Index) *matrix.CSR[float64] {
 func choose3(n int64) int64 { return n * (n - 1) * (n - 2) / 6 }
 
 func TestTriangleCountKnownGraphs(t *testing.T) {
-	eng := EngineVariant(core.Variant{Alg: core.MSA, Phase: core.OnePhase}, core.Options{Threads: 2})
+	eng := NewSession(core.Options{Threads: 2}).EngineVariant(core.Variant{Alg: core.MSA, Phase: core.OnePhase})
 	cases := []struct {
 		name string
 		g    *matrix.CSR[float64]
@@ -102,21 +101,12 @@ func TestTriangleCountAllEnginesAgree(t *testing.T) {
 			t.Errorf("%s: triangles = %d, want %d", eng.Name, got.Triangles, want)
 		}
 	}
-	// The strawman engine must agree too.
-	straw := EnginePlainThenMask(baseline.Options{Threads: 2})
-	got, err := TriangleCount(g, straw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Triangles != want {
-		t.Errorf("PlainThenMask: triangles = %d, want %d", got.Triangles, want)
-	}
 }
 
 func TestTriangleCountERSym(t *testing.T) {
 	g := grgen.ErdosRenyiSym(200, 10, 77)
 	want := TriangleCountExact(g)
-	eng := EngineVariant(core.Variant{Alg: core.Hash, Phase: core.TwoPhase}, core.Options{})
+	eng := NewSession(core.Options{}).EngineVariant(core.Variant{Alg: core.Hash, Phase: core.TwoPhase})
 	got, err := TriangleCount(g, eng)
 	if err != nil {
 		t.Fatal(err)
@@ -165,7 +155,7 @@ func TestTriangleCountNonSymmetricMatchesTrilOfPermute(t *testing.T) {
 }
 
 func TestKTrussKnownGraphs(t *testing.T) {
-	eng := EngineVariant(core.Variant{Alg: core.MSA, Phase: core.OnePhase}, core.Options{Threads: 2})
+	eng := NewSession(core.Options{Threads: 2}).EngineVariant(core.Variant{Alg: core.MSA, Phase: core.OnePhase})
 	// K5 is a 5-truss: every edge supported by 3 triangles. 5-truss keeps it
 	// whole; 6-truss empties it.
 	k5 := completeGraph(5)
@@ -208,7 +198,7 @@ func TestKTrussMatchesExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			eng := EngineVariant(v, core.Options{Threads: 2})
+			eng := NewSession(core.Options{Threads: 2}).EngineVariant(v)
 			got, _, err := KTruss(g, k, eng)
 			if err != nil {
 				t.Fatal(err)
@@ -234,7 +224,7 @@ func bcClose(a, b []float64) bool {
 }
 
 func TestBetweennessKnownGraphs(t *testing.T) {
-	eng := EngineVariant(core.Variant{Alg: core.MSA, Phase: core.OnePhase}, core.Options{Threads: 2})
+	eng := NewSession(core.Options{Threads: 2}).EngineVariant(core.Variant{Alg: core.MSA, Phase: core.OnePhase})
 	// Path graph P5, all sources: center vertex has highest centrality.
 	g := pathGraph(5)
 	sources := []Index{0, 1, 2, 3, 4}
@@ -287,7 +277,7 @@ func TestBetweennessMatchesBrandesOnRandomGraphs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := BetweennessCentrality(g, sources, EngineVariant(v, core.Options{Threads: 2}))
+			res, err := BetweennessCentrality(g, sources, NewSession(core.Options{Threads: 2}).EngineVariant(v))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -296,7 +286,7 @@ func TestBetweennessMatchesBrandesOnRandomGraphs(t *testing.T) {
 			}
 		}
 		// SS:SAXPY baseline supports complement; verify it too.
-		res, err := BetweennessCentrality(g, sources, EngineSSSaxpy(baseline.Options{Threads: 2}))
+		res, err := BetweennessCentrality(g, sources, NewSession(core.Options{Threads: 2}).EngineSSSaxpy())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -308,16 +298,16 @@ func TestBetweennessMatchesBrandesOnRandomGraphs(t *testing.T) {
 
 func TestBetweennessRejectsComplementIncapable(t *testing.T) {
 	g := pathGraph(4)
-	if _, err := BetweennessCentrality(g, []Index{0}, EngineVariant(core.Variant{Alg: core.MCA, Phase: core.OnePhase}, core.Options{})); err == nil {
+	if _, err := BetweennessCentrality(g, []Index{0}, NewSession(core.Options{}).EngineVariant(core.Variant{Alg: core.MCA, Phase: core.OnePhase})); err == nil {
 		t.Error("expected MCA to be rejected for BC")
 	}
-	if _, err := BetweennessCentrality(g, []Index{0}, EngineSSDot(baseline.Options{})); err == nil {
+	if _, err := BetweennessCentrality(g, []Index{0}, NewSession(core.Options{}).EngineSSDot()); err == nil {
 		t.Error("expected SS:DOT to be rejected for BC")
 	}
 }
 
 func TestBetweennessEdgeCases(t *testing.T) {
-	eng := EngineVariant(core.Variant{Alg: core.MSA, Phase: core.OnePhase}, core.Options{})
+	eng := NewSession(core.Options{}).EngineVariant(core.Variant{Alg: core.MSA, Phase: core.OnePhase})
 	g := pathGraph(4)
 	// No sources.
 	res, err := BetweennessCentrality(g, nil, eng)

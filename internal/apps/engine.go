@@ -79,13 +79,8 @@ func (s *Session) WithOptions(opt core.Options) *Session {
 	return &Session{Opt: opt, Cache: s.Cache}
 }
 
-// EngineVariant wraps one of the paper's algorithm variants. With
-// s.Opt.Auto set, the pinned variant is ignored and the call is routed
-// through the adaptive planner instead (see EngineAuto).
+// EngineVariant wraps one of the paper's algorithm variants.
 func (s *Session) EngineVariant(v core.Variant) Engine {
-	if s.Opt.Auto {
-		return s.EngineAuto()
-	}
 	opt := s.Opt
 	return Engine{
 		Name: v.Name(),
@@ -159,24 +154,6 @@ func (s *Session) EngineSSSaxpy() Engine {
 	}
 }
 
-// EnginePlainThenMask wraps the unmasked-multiply-then-filter strawman of
-// Figure 1.
-func (s *Session) EnginePlainThenMask() Engine {
-	opt := s.Opt
-	return Engine{
-		Name: "PlainThenMask",
-		Mult: func(m *matrix.Pattern, a, b *matrix.CSR[float64], sr semiring.Semiring[float64], complement bool) (*matrix.CSR[float64], error) {
-			o := opt
-			o.Complement = complement
-			c := baseline.PlainThenMask(m, a, b, sr, o)
-			if err := o.Err(); err != nil {
-				return nil, err
-			}
-			return c, nil
-		},
-	}
-}
-
 // AllEngines returns the paper's 14 schemes (§8): the 12 proposed variants
 // plus the two SuiteSparse-style baselines, all sharing the session's
 // options and plan cache.
@@ -205,43 +182,4 @@ func (s *Session) EngineByName(name string) (Engine, error) {
 		return Engine{}, err
 	}
 	return s.EngineVariant(v), nil
-}
-
-// EngineVariant constructs a variant engine with a one-off session.
-//
-// Deprecated: build engines from a Session so iterative Auto callers share
-// one plan cache; this wrapper creates a fresh cache per engine.
-func EngineVariant(v core.Variant, opt core.Options) Engine {
-	return NewSession(opt).EngineVariant(v)
-}
-
-// EngineAuto constructs a planner-backed engine with a one-off session.
-//
-// Deprecated: build engines from a Session so iterative Auto callers share
-// one plan cache; this wrapper creates a fresh cache per engine.
-func EngineAuto(opt core.Options) Engine {
-	return NewSession(opt).EngineAuto()
-}
-
-// EngineSSDot constructs the SS:DOT baseline engine with a one-off session.
-//
-// Deprecated: build engines from a Session.
-func EngineSSDot(opt baseline.Options) Engine {
-	return NewSession(opt).EngineSSDot()
-}
-
-// EngineSSSaxpy constructs the SS:SAXPY baseline engine with a one-off
-// session.
-//
-// Deprecated: build engines from a Session.
-func EngineSSSaxpy(opt baseline.Options) Engine {
-	return NewSession(opt).EngineSSSaxpy()
-}
-
-// EnginePlainThenMask constructs the Figure-1 strawman engine with a
-// one-off session.
-//
-// Deprecated: build engines from a Session.
-func EnginePlainThenMask(opt baseline.Options) Engine {
-	return NewSession(opt).EnginePlainThenMask()
 }

@@ -117,11 +117,6 @@ type Options struct {
 	// *out*. MCA does not support complemented masks (§8.4) and returns an
 	// error; Heap/HeapDot run with NInspect=0 under complement (§5.5).
 	Complement bool
-	// Auto asks the layers above core (the masked facade and the apps
-	// engines) to route the call through the adaptive planner instead of a
-	// caller-pinned variant. The fixed-variant entry points in this package
-	// ignore it; see repro/internal/planner.
-	Auto bool
 	// MaskRep pins the mask representation kernels probe membership with
 	// (sorted-CSR, bitmap, or dense-run direct index). The zero value
 	// RepAuto lets the planner choose per row block — or, on the
@@ -136,9 +131,11 @@ type Options struct {
 	Sched Sched
 	// RowCosts, if non-nil, supplies the per-row cost prefix cost-balanced
 	// scheduling claims equal-flops spans over. The planner attaches the
-	// profile its analysis sweep gathers; callers pinning a variant can
-	// build one with ComputeRowCosts. Nil (or a stale profile whose length
-	// does not match the row count) falls back to equal-row chunking.
+	// profile its analysis sweep gathers; the pinned entry points
+	// (MaskedSpGEMM, MaskedSpGEMMHybrid) gather one themselves under
+	// SchedCost when none is given.
+	// Nil (or a stale profile whose length does not match the row count)
+	// falls back to equal-row chunking.
 	RowCosts *RowCosts
 	// Ctx, if non-nil, carries a cancellation signal honored cooperatively
 	// by the parallel drivers: workers observe it between scheduling chunks
@@ -212,7 +209,8 @@ func VariantByName(name string) (Variant, error) {
 
 // MaskedSpGEMM computes C = M .* (A·B) (or the complement form per opt)
 // over semiring sr using the given variant. M must be m-by-n, A m-by-k and
-// B k-by-n. Output rows are sorted.
+// B k-by-n. Output rows are sorted. Under SchedCost with no opt.RowCosts,
+// the call gathers the row-cost profile itself.
 func MaskedSpGEMM[T any](v Variant, m *matrix.Pattern, a, b *matrix.CSR[T], sr semiring.Semiring[T], opt Options) (*matrix.CSR[T], error) {
 	if err := checkDims(m, a, b); err != nil {
 		return nil, err
@@ -229,7 +227,18 @@ func MaskedSpGEMM[T any](v Variant, m *matrix.Pattern, a, b *matrix.CSR[T], sr s
 		return nil, err
 	}
 	bound := allocBound(m, a, b, opt.Complement)
-	return runDriver(v.Phase, m, b.NCols, bound, factory, opt)
+	return runDriver(v.Phase, m, b.NCols, bound, factory, withPinnedProfile(opt, m, a, b))
+}
+
+// withPinnedProfile attaches the row-cost profile SchedCost schedules over
+// when the caller supplied none. A pinned kernel bypasses the planner,
+// whose analysis sweep would otherwise provide it, so the profile costs one
+// extra O(nnz(A)) sweep; the other policies never gather one here.
+func withPinnedProfile[T any](opt Options, m *matrix.Pattern, a, b *matrix.CSR[T]) Options {
+	if opt.Sched == SchedCost && opt.RowCosts == nil {
+		opt.RowCosts = ComputeRowCosts(m, a.Pattern(), b.Pattern(), opt.Workers())
+	}
+	return opt
 }
 
 // algKernelFactory builds the per-worker kernel factory for one algorithm

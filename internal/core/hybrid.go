@@ -112,7 +112,8 @@ func (k *hybridKernel[T, O]) symbolicRow(i Index) Index {
 // supported (the pull sub-kernel's complement is Θ(ncols) per row, which
 // defeats the routing). stats, if non-nil, receives approximate routing
 // counts; with multiple workers the counts are racy-but-indicative and
-// exact with Options.Threads == 1.
+// exact with Options.Threads == 1. Like MaskedSpGEMM, it gathers its own
+// row-cost profile under SchedCost when opt.RowCosts is nil.
 func MaskedSpGEMMHybrid[T any](phase Phase, m *matrix.Pattern, a, b *matrix.CSR[T], sr semiring.Semiring[T], opt Options, stats *HybridStats) (*matrix.CSR[T], error) {
 	if err := checkDims(m, a, b); err != nil {
 		return nil, err
@@ -126,7 +127,7 @@ func MaskedSpGEMMHybrid[T any](phase Phase, m *matrix.Pattern, a, b *matrix.CSR[
 	bcsc := matrix.ToCSC(b)
 	factory := newHybridKernelFactory(m, a, b, bcsc, funcOps(sr), stats, opt.Workspaces)
 	bound := allocBound(m, a, b, false)
-	return runDriver(phase, m, b.NCols, bound, factory, opt)
+	return runDriver(phase, m, b.NCols, bound, factory, withPinnedProfile(opt, m, a, b))
 }
 
 var errHybridComplement = fmtErr("core: hybrid kernel does not support complemented masks")

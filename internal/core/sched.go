@@ -59,8 +59,8 @@ const (
 
 // RowCosts is the per-row cost profile cost-balanced scheduling consumes.
 // The planner fills one during its analysis sweep (the flops it already
-// gathers per row, which used to be discarded after aggregation); callers
-// pinning a variant can build one with ComputeRowCosts.
+// gathers per row, which used to be discarded after aggregation); the
+// pinned entry points build one with ComputeRowCosts under SchedCost.
 type RowCosts struct {
 	// Prefix is the monotone prefix sum of per-row costs, length nrows+1:
 	// Prefix[i+1]-Prefix[i] is the estimated cost of row i (flops plus mask
@@ -110,8 +110,9 @@ func schedPrefix(opt Options, nrows Index) []int64 {
 // ComputeRowCosts gathers the per-row cost profile of C = M .* (A·B) in one
 // parallel O(nnz(A)) sweep: cost_i = Σ_{A_ik≠0} nnz(B_k*) + nnz(M_i*) + 1.
 // The planner computes the same profile as a by-product of its analysis;
-// this entry point serves callers that pin a variant (bypassing the planner)
-// but still want cost-balanced scheduling. Returns nil for degenerate
+// the pinned entry points (MaskedSpGEMM, MaskedSpGEMMHybrid) call this
+// under SchedCost, since a pinned kernel bypasses the planner. Callers timing one product many times can precompute it
+// once and pass it as Options.RowCosts. Returns nil for degenerate
 // operands.
 func ComputeRowCosts(m, a, b *matrix.Pattern, threads int) *RowCosts {
 	nrows := m.NRows

@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -179,14 +181,51 @@ func TestSchedCancellationMidFlight(t *testing.T) {
 	}
 }
 
+// TestPinnedSchedCostGathersProfile: the pinned entry point gathers its own
+// row-cost profile under SchedCost, and only there. The schedule is observed
+// through cancellation granularity on one worker: with one equal-row chunk
+// spanning every row, a cancel raised by the first multiply is seen only
+// after the whole pass, while cost-balanced spans claim about half the cost
+// first and stop early.
+func TestPinnedSchedCostGathersProfile(t *testing.T) {
+	l := matrix.Tril(grgen.RMAT(9, 8, 29)) // no relabel: power-law rows stay skewed
+	m := l.Pattern()
+	if rc := ComputeRowCosts(m, l.Pattern(), l.Pattern(), 0); rc == nil || !rc.Skewed {
+		t.Fatal("test graph must have a skewed cost profile, so SchedAuto would engage one if attached")
+	}
+	muls := func(sched Sched) int64 {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		var n atomic.Int64
+		sr := semiring.Semiring[float64]{
+			Name: "cancel-on-first-mul",
+			Add:  func(x, y float64) float64 { return x + y },
+			Mul: func(x, y float64) float64 {
+				n.Add(1)
+				cancel()
+				return x * y
+			},
+		}
+		opt := Options{Threads: 1, Grain: int(m.NRows), Sched: sched, Ctx: ctx}
+		if _, err := MaskedSpGEMM(Variant{Alg: MSA, Phase: OnePhase}, m, l, l, sr, opt); !errors.Is(err, context.Canceled) {
+			t.Fatalf("sched=%s: got %v, want context.Canceled", sched, err)
+		}
+		return n.Load()
+	}
+	whole := muls(SchedEqualRow)
+	if got := muls(SchedAuto); got != whole {
+		t.Errorf("SchedAuto: %d multiplies before the cancel was seen, want the whole chunk's %d (no profile gathered)", got, whole)
+	}
+	if got := muls(SchedCost); got >= whole {
+		t.Errorf("SchedCost: %d multiplies before the cancel was seen, want fewer than the whole chunk's %d (profile gathered, spans claimed)", got, whole)
+	}
+}
+
 // TestDriverPoolsWarmZeroMisses: after one warming call, the drivers take
 // every scratch buffer (counts, offsets, bound bins) from the session
 // arena — zero driver-layer allocations in steady state, for both phases
 // and both schedules.
 func TestDriverPoolsWarmZeroMisses(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops a fraction of Puts under the race detector; exact miss counts only hold without -race")
-	}
 	g := grgen.RMAT(9, 8, 29)
 	l := matrix.Tril(matrix.Permute(g, matrix.DegreeDescPerm(g)))
 	m := l.Pattern()

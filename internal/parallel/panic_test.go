@@ -37,15 +37,21 @@ func TestWorkerPanicRethrown(t *testing.T) {
 
 // TestWorkerPanicPoisonsClaims checks that after one worker panics, the
 // other workers stop claiming chunks quickly (the claim counter is
-// poisoned), rather than running the full iteration space.
+// poisoned), rather than running the full iteration space. Survivors wait
+// until worker 0 is about to panic before their first claim: otherwise the
+// scheduler may run them before worker 0 starts at all, and they could
+// legitimately claim most of the space before any poison exists.
 func TestWorkerPanicPoisonsClaims(t *testing.T) {
 	var ran atomic.Int64
+	dying := make(chan struct{})
 	func() {
 		defer func() { recover() }()
 		ForWorkers(1_000_000, 4, 1, func(id int, claim func() (int, int, bool)) {
 			if id == 0 {
+				close(dying)
 				panic("die early")
 			}
+			<-dying
 			for {
 				lo, _, ok := claim()
 				if !ok {

@@ -1,15 +1,18 @@
 package masked
 
 import (
+	"context"
 	"math"
 	"path/filepath"
 	"testing"
 )
 
 func TestMultiplyQuickstart(t *testing.T) {
+	ctx := context.Background()
+	s := NewSession(WithAccumulate(PlusPair()))
 	g := RMAT(8, 8, 1)
 	l := Tril(g)
-	c, err := Multiply(l.Pattern(), l, l, PlusPair(), Options{})
+	c, err := s.Multiply(ctx, l.Pattern(), l, l)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -18,7 +21,7 @@ func TestMultiplyQuickstart(t *testing.T) {
 	}
 	// Every variant agrees with the default.
 	for _, v := range Variants() {
-		ci, err := MultiplyVariant(v, l.Pattern(), l, l, PlusPair(), Options{})
+		ci, err := s.Multiply(ctx, l.Pattern(), l, l, WithVariant(v))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,23 +45,25 @@ func TestVariantLookup(t *testing.T) {
 }
 
 func TestApplications(t *testing.T) {
+	ctx := context.Background()
 	g := ErdosRenyi(300, 8, 2)
 	v, _ := VariantByName("MSA-1P")
-	tc, err := TriangleCount(g, v, Options{})
+	s := NewSession(WithVariant(v))
+	tc, err := s.TriangleCount(ctx, g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tc.Triangles < 0 {
 		t.Fatal("negative triangles")
 	}
-	truss, kres, err := KTruss(g, 4, v, Options{})
+	truss, kres, err := s.KTruss(ctx, g, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if truss.NNZ() > g.NNZ() || kres.Iterations < 1 {
 		t.Fatal("k-truss must prune")
 	}
-	bc, err := BetweennessCentrality(g, []Index{0, 10, 20}, v, Options{})
+	bc, err := s.BC(ctx, g, []Index{0, 10, 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,14 +78,22 @@ func TestApplications(t *testing.T) {
 }
 
 func TestBaselinesExposed(t *testing.T) {
+	ctx := context.Background()
+	s := NewSession(WithThreads(2))
 	g := ErdosRenyi(100, 6, 3)
 	l := Tril(g)
-	want, err := Multiply(l.Pattern(), l, l, Arithmetic(), Options{})
+	want, err := s.Multiply(ctx, l.Pattern(), l, l)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dot := SSDot(l.Pattern(), l, l, Arithmetic(), 2)
-	sax := SSSaxpy(l.Pattern(), l, l, Arithmetic(), 2)
+	dot, err := s.SSDot(ctx, l.Pattern(), l, l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sax, err := s.SSSaxpy(ctx, l.Pattern(), l, l)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if dot.NNZ() != want.NNZ() || sax.NNZ() != want.NNZ() {
 		t.Fatal("baseline nnz mismatch")
 	}
@@ -134,8 +147,10 @@ func TestMatrixMarketRoundTrip(t *testing.T) {
 }
 
 func TestComplementOption(t *testing.T) {
+	ctx := context.Background()
+	s := NewSession(WithComplement())
 	g := ErdosRenyi(80, 6, 4)
-	c, err := Multiply(g.Pattern(), g, g, Arithmetic(), Options{Complement: true})
+	c, err := s.Multiply(ctx, g.Pattern(), g, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,19 +171,21 @@ func TestComplementOption(t *testing.T) {
 	}
 	// MCA rejects complement through the facade too.
 	mca, _ := VariantByName("MCA-1P")
-	if _, err := MultiplyVariant(mca, g.Pattern(), g, g, Arithmetic(), Options{Complement: true}); err == nil {
+	if _, err := s.Multiply(ctx, g.Pattern(), g, g, WithVariant(mca)); err == nil {
 		t.Fatal("MCA must reject complement")
 	}
 }
 
 func TestMultiplyAutoPlanAndExplain(t *testing.T) {
+	ctx := context.Background()
 	g := RMAT(9, 8, 4)
 	l := Tril(g)
-	c, plan, err := MultiplyAuto(l.Pattern(), l, l, PlusPair(), Options{})
+	c, plan, err := NewSession().MultiplyAuto(ctx, l.Pattern(), l, l, WithAccumulate(PlusPair()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := MultiplyVariant(Variant{Alg: MSA, Phase: OnePhase}, l.Pattern(), l, l, PlusPair(), Options{})
+	want, err := NewSession().Multiply(ctx, l.Pattern(), l, l,
+		WithAccumulate(PlusPair()), WithVariant(Variant{Alg: MSA, Phase: OnePhase}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,40 +199,9 @@ func TestMultiplyAutoPlanAndExplain(t *testing.T) {
 	if exp == "" {
 		t.Fatal("empty Explain")
 	}
-	// Explain without executing agrees on the block structure.
-	if dry := Explain(l.Pattern(), l, l, Options{}); len(dry.Blocks) != len(plan.Blocks) {
+	// Explain without executing agrees on the block structure (a fresh
+	// session, so the plan is analyzed rather than recalled).
+	if dry := NewSession().Explain(l.Pattern(), l, l); len(dry.Blocks) != len(plan.Blocks) {
 		t.Fatalf("Explain blocks %d != executed plan blocks %d", len(dry.Blocks), len(plan.Blocks))
-	}
-}
-
-func TestOptionsAutoRoutesApplications(t *testing.T) {
-	g := RMAT(8, 8, 5)
-	// The pinned variant must be ignored under Auto: pass MCA (which cannot
-	// run the complemented masks BC needs) and expect success anyway.
-	v := Variant{Alg: MCA, Phase: OnePhase}
-	fixed, err := TriangleCount(g, Variant{Alg: MSA, Phase: OnePhase}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	auto, err := TriangleCount(g, v, Options{Auto: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if auto.Triangles != fixed.Triangles {
-		t.Fatalf("auto TC %d != fixed TC %d", auto.Triangles, fixed.Triangles)
-	}
-	sources := []Index{0, 1, 2}
-	bcFixed, err := BetweennessCentrality(g, sources, Variant{Alg: MSA, Phase: OnePhase}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bcAuto, err := BetweennessCentrality(g, sources, v, Options{Auto: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range bcFixed.Scores {
-		if math.Abs(bcFixed.Scores[i]-bcAuto.Scores[i]) > 1e-9 {
-			t.Fatalf("BC scores diverge at %d: %v vs %v", i, bcFixed.Scores[i], bcAuto.Scores[i])
-		}
 	}
 }

@@ -152,7 +152,10 @@ func WithMaskRep(r MaskRep) Op {
 // dynamic chunks otherwise; SchedEqualRow pins the equal-row scheduler;
 // SchedCost forces cost-balanced spans whenever a profile exists. On the
 // pinned-variant path (WithVariant), SchedCost gathers the profile with one
-// extra O(nnz(A)) sweep per call. Scheduling never changes results.
+// extra O(nnz(A)) sweep per masked product — for Multiply and for every
+// product of the application methods (TriangleCount, KTruss, BC,
+// MultiSourceBFS, MCL, CosineSimilarity) alike. Scheduling never changes
+// results.
 func WithSched(s Sched) Op {
 	return func(d *opSpec) { d.sched = s }
 }
@@ -262,21 +265,6 @@ func NewSession(opts ...Op) *Session {
 	return s
 }
 
-// defaultSession backs the deprecated free functions.
-var (
-	defaultOnce    sync.Once
-	defaultSession *Session
-)
-
-// DefaultSession returns the lazily-created process-wide session the
-// deprecated free functions run on. New code should create its own
-// sessions; separate workloads sharing the default session contend for one
-// plan cache and workspace arena.
-func DefaultSession() *Session {
-	defaultOnce.Do(func() { defaultSession = NewSession() })
-	return defaultSession
-}
-
 // options resolves a descriptor into the core execution options, attaching
 // the session's workspaces and the operation's context.
 func (s *Session) options(ctx context.Context, d opSpec) Options {
@@ -319,10 +307,9 @@ func (s *Session) MultiplyAuto(ctx context.Context, m *Pattern, a, b *Matrix, op
 }
 
 // execute runs one resolved multiply under the given options: the pinned
-// variant (gathering a cost profile explicitly when SchedCost asks for one,
-// since the pinned path bypasses the planner), or the planner path through
-// the session cache. The single-call entry points and the serving layer
-// both run through it, so the two paths cannot drift apart.
+// variant, or the planner path through the session cache. The single-call
+// entry points and the serving layer both run through it, so the two paths
+// cannot drift apart.
 func (s *Session) execute(d opSpec, o Options, m *Pattern, a, b *Matrix) (*Matrix, *Plan, error) {
 	// Chaos point: a panic on the kernel path, under the serving layer's
 	// recover barriers and the arbiter grant. Inert unless armed.
@@ -330,9 +317,6 @@ func (s *Session) execute(d opSpec, o Options, m *Pattern, a, b *Matrix) (*Matri
 		panic("faultinject: " + faultinject.PointKernelPanic)
 	}
 	if d.pinned {
-		if d.sched == SchedCost && o.RowCosts == nil {
-			o.RowCosts = core.ComputeRowCosts(m, a.Pattern(), b.Pattern(), o.Workers())
-		}
 		c, err := core.MaskedSpGEMM(d.variant, m, a, b, d.semiring(), o)
 		return c, nil, err
 	}

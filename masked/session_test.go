@@ -3,6 +3,7 @@ package masked
 import (
 	"context"
 	"errors"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -74,44 +75,6 @@ func TestSessionPooledResultsBitIdentical(t *testing.T) {
 	}
 	if s.PlanCacheStats().Hits == 0 {
 		t.Errorf("expected plan-cache hits on repeated session multiplies")
-	}
-}
-
-// TestFreeFunctionsMatchSession: the deprecated free functions are wrappers
-// over DefaultSession and must return bit-identical results to an explicit
-// session (the PR-1 behavior).
-func TestFreeFunctionsMatchSession(t *testing.T) {
-	ctx := context.Background()
-	lp, l := tcOperands(9, 8, 7)
-	want, err := NewSession().Multiply(ctx, lp, l, l, WithAccumulate(PlusPair()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Multiply(lp, l, l, PlusPair(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameCSR(t, "Multiply", got, want)
-	for _, v := range Variants() {
-		got, err := MultiplyVariant(v, lp, l, l, PlusPair(), Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameCSR(t, "MultiplyVariant/"+v.Name(), got, want)
-	}
-	// An application wrapper agrees with its session method.
-	g := RMAT(8, 8, 5)
-	v := Variant{Alg: MSA, Phase: OnePhase}
-	old, err := TriangleCount(g, v, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	neu, err := NewSession().TriangleCount(ctx, g, WithVariant(v))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if old.Triangles != neu.Triangles {
-		t.Fatalf("TriangleCount: free %d != session %d", old.Triangles, neu.Triangles)
 	}
 }
 
@@ -299,9 +262,7 @@ func benchmarkWarmedMultiplyDriverAllocs(b *testing.B, phase core.Phase) {
 		}
 	}
 	b.StopTimer()
-	// Exact miss counts only hold without -race: the race detector makes
-	// sync.Pool drop a fraction of Puts.
-	if _, missAfter := s.ws.DriverPoolStats(); !raceEnabled && missAfter != missBefore {
+	if _, missAfter := s.ws.DriverPoolStats(); missAfter != missBefore {
 		b.Fatalf("warmed Session.Multiply (%s) performed %d driver-layer allocations (pool misses) over %d ops; want 0",
 			phase, missAfter-missBefore, b.N)
 	}
@@ -317,9 +278,6 @@ func BenchmarkSessionMultiplyDriverAllocs2P(b *testing.B) {
 // TestWarmedSessionZeroDriverAllocs is the deterministic (non-benchmark)
 // form of the guarantee, covering both phases and the planner path.
 func TestWarmedSessionZeroDriverAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops a fraction of Puts under the race detector; exact miss counts only hold without -race")
-	}
 	ctx := context.Background()
 	lp, l := tcOperands(10, 8, 15)
 	cases := map[string][]Op{
@@ -367,6 +325,46 @@ func TestSessionSchedEquivalence(t *testing.T) {
 				t.Fatalf("sched=%v pinned=%v: %v", sched, pin, err)
 			}
 			sameCSR(t, "sched", got, want)
+		}
+	}
+
+	// The application methods under a pinned variant and SchedCost gather
+	// a cost profile for every masked product they run; their results must
+	// match the equal-row schedule's exactly.
+	g := RMAT(9, 8, 31)
+	srcs := []Index{0, 1, 2, 3}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	runApps := func(sched Sched) (mats map[string]*Matrix, vals map[string]any) {
+		s := NewSession(WithVariant(Variant{Alg: Hash, Phase: OnePhase}), WithSched(sched), WithThreads(4))
+		tc, err := s.TriangleCount(ctx, g)
+		must(err)
+		truss, _, err := s.KTruss(ctx, g, 4)
+		must(err)
+		bc, err := s.BC(ctx, g, srcs)
+		must(err)
+		ms, err := s.MultiSourceBFS(ctx, g, srcs)
+		must(err)
+		mcl, err := s.MCL(ctx, g, MCLOptions{MaskedExpansion: true, MaxIter: 8})
+		must(err)
+		cos, err := s.CosineSimilarity(ctx, g, g.Pattern())
+		must(err)
+		mats = map[string]*Matrix{"KTruss": truss, "CosineSimilarity": cos.Scores}
+		vals = map[string]any{"TriangleCount": tc.Triangles, "BC": bc.Scores, "MultiSourceBFS": ms.Levels, "MCL": mcl.Cluster}
+		return mats, vals
+	}
+	wantM, wantV := runApps(SchedEqualRow)
+	gotM, gotV := runApps(SchedCost)
+	for name := range wantM {
+		sameCSR(t, name+"/pinned-cost", gotM[name], wantM[name])
+	}
+	for name := range wantV {
+		if !reflect.DeepEqual(gotV[name], wantV[name]) {
+			t.Errorf("%s: pinned SchedCost result differs from SchedEqualRow", name)
 		}
 	}
 }

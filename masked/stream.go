@@ -194,9 +194,6 @@ func (s *Session) deltaExecute(d opSpec, o Options, m *Pattern, a, b *Matrix) (*
 		panic("faultinject: " + faultinject.PointKernelPanic)
 	}
 	if d.pinned {
-		if d.sched == SchedCost && o.RowCosts == nil {
-			o.RowCosts = core.ComputeRowCosts(m, a.Pattern(), b.Pattern(), o.Workers())
-		}
 		return core.MaskedSpGEMM(d.variant, m, a, b, d.semiring(), o)
 	}
 	pl := planner.AnalyzeModel(m, a.Pattern(), b.Pattern(), o, s.model)
