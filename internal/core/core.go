@@ -286,8 +286,8 @@ type BlockStat struct {
 	// ElapsedNs is the summed wall time workers spent in the block's kernel
 	// rows (both passes of a two-phase run; chunk time straddling a block
 	// boundary is split pro-rata by rows). It is measured with Options.NowNs
-	// when set, the real monotonic clock otherwise, and feeds the planner's
-	// prediction-error feedback loop.
+	// when set, the real monotonic clock otherwise; the masked session sums
+	// it into the returned plan's Exec stamp.
 	ElapsedNs int64
 }
 

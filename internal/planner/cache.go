@@ -22,36 +22,25 @@ import (
 // frontier grows past a power of two the bucket changes and the call is
 // re-analyzed, which is exactly when the right variant may change too.
 //
-// The cache is built for concurrent serving: entries are spread across
-// lock-striped shards (a key visits exactly one shard, so concurrent
-// lookups of different products rarely contend), each shard is bounded and
-// evicts in LRU order, and the hit/miss/eviction counters are monotonic
-// atomics — Stats taken at two points in time never runs backwards, so
-// operators can difference snapshots. Eviction only unlinks a plan from the
-// cache; plans are immutable after Analyze, so a caller holding an evicted
-// plan can keep Executing it (see TestEvictedPlanStillExecutes).
+// The cache is one mutex-guarded map with one cache-wide LRU list: it
+// holds exactly its capacity in plans, evicting the least recently used, and
+// the hit/miss/eviction/replan counters are monotonic atomics — Stats taken
+// at two points in time never runs backwards, so operators can difference
+// snapshots. Eviction only unlinks a plan from the cache; plans are
+// immutable after Analyze, so a caller holding an evicted plan can keep
+// Executing it (see TestEvictedPlanStillExecutes).
 type Cache struct {
-	shards []cacheShard
-	// perShard is the entry bound of each shard; the cache-wide capacity is
-	// perShard * len(shards).
-	perShard int
-	// hits, misses and evictions are cache-wide and monotonic for the
-	// lifetime of the cache (Reset drops entries, never history); records
-	// and replans are the feedback loop's counters (Record observations and
-	// feedback-triggered invalidations — see Record).
-	hits, misses, evictions, records, replans atomic.Int64
+	mu       sync.Mutex
+	plans    map[cacheKey]*list.Element // value: *cacheEntry
+	lru      list.List                  // Front() is the most recently used
+	capacity int
+	// hits, misses, evictions and replans are monotonic for the lifetime of
+	// the cache (Reset drops entries, never history).
+	hits, misses, evictions, replans atomic.Int64
 	// model is the cost model misses analyze with; nil means DefaultModel.
 	// Atomic so SetModel (session calibration) is safe against concurrent
 	// analyses; the *Model it points to is immutable.
 	model atomic.Pointer[Model]
-}
-
-// cacheShard is one lock stripe: a bounded map with LRU eviction order.
-// lru.Front() is the most recently used entry.
-type cacheShard struct {
-	mu    sync.Mutex
-	plans map[cacheKey]*list.Element // value: *cacheEntry
-	lru   list.List
 }
 
 // cacheEntry is one cached plan with its key (needed to delete from the map
@@ -108,15 +97,12 @@ func makeKey(m, a, b *matrix.Pattern, opt core.Options) cacheKey {
 	}
 }
 
-// Sharding and capacity defaults. 16 stripes keep lock hold times invisible
-// up to far more concurrent requests than a session admits; the default
-// capacity matches the pre-sharding bound (each entry pins its B operand's
-// RowPtr array through the fingerprint pointer, so growth must be bounded
-// in long-lived serving processes).
-const (
-	cacheShards     = 16
-	defaultCacheCap = 256
-)
+// DefaultCacheCapacity is the entry bound NewCache uses. An entry holds its
+// plan's per-row cost profile and pins its B operand's RowPtr array through
+// the fingerprint pointer: about 12 bytes per row. Callers that build a
+// fresh B on every call (triangle counting) leave entries that never hit
+// again, so the bound is what caps their retained memory.
+const DefaultCacheCapacity = 64
 
 // NewCache returns an empty plan cache with the default capacity
 // (DefaultCacheCapacity entries), safe for concurrent use. Caches are
@@ -127,72 +113,35 @@ const (
 // system.)
 func NewCache() *Cache { return NewCacheCapacity(0) }
 
-// DefaultCacheCapacity is the entry bound NewCache uses.
-const DefaultCacheCapacity = defaultCacheCap
-
-// NewCacheCapacity returns an empty plan cache bounded to roughly the given
-// number of entries (rounded up to a multiple of the shard count; <= 0
-// means DefaultCacheCapacity). The bound is enforced per shard — capacity/
-// shards entries each, LRU-evicted — so one hot product family cannot push
-// every other tenant's plans out in one sweep.
+// NewCacheCapacity returns an empty plan cache bounded to exactly the given
+// number of entries, LRU-evicted (<= 0 means DefaultCacheCapacity).
 func NewCacheCapacity(capacity int) *Cache {
 	if capacity <= 0 {
-		capacity = defaultCacheCap
+		capacity = DefaultCacheCapacity
 	}
-	per := (capacity + cacheShards - 1) / cacheShards
-	if per < 1 {
-		per = 1
-	}
-	c := &Cache{shards: make([]cacheShard, cacheShards), perShard: per}
-	for i := range c.shards {
-		c.shards[i].plans = make(map[cacheKey]*list.Element)
-	}
-	return c
-}
-
-// shard maps a key to its lock stripe by mixing the value fields that vary
-// across workloads (shape, nnz and the size buckets — the fingerprint
-// pointer participates only in key equality, so the hash needs no unsafe
-// pointer arithmetic; distinct operands almost always differ in shape or
-// nnz anyway, and a stripe collision only shares a mutex, never an entry).
-func (c *Cache) shard(k cacheKey) *cacheShard {
-	h := uint64(k.b.nnz)
-	h ^= uint64(k.b.nrows)<<32 | uint64(uint32(k.b.ncols))
-	h ^= uint64(k.mRows) * 0x9e3779b97f4a7c15
-	h ^= uint64(k.aRows) << 17
-	h ^= uint64(k.mBucket)<<8 | uint64(k.aBucket)
-	if k.complement {
-		h ^= 0xabcd
-	}
-	h ^= uint64(k.rep)<<4 | uint64(k.sched)<<2
-	// Fibonacci fold so low-entropy inputs still spread across stripes.
-	h *= 0x9e3779b97f4a7c15
-	return &c.shards[h>>(64-4)] // top 4 bits: 16 shards
+	return &Cache{plans: make(map[cacheKey]*list.Element), capacity: capacity}
 }
 
 // CacheStats is a point-in-time snapshot of a plan cache's counters.
-// Hits, Misses and Evictions are monotonic over the cache's lifetime (Reset
-// drops entries, not history), so two snapshots can be differenced to rate
-// a time window. Entries is the current resident plan count.
+// Hits, Misses, Evictions and Replans are monotonic over the cache's
+// lifetime (Reset drops entries, not history), so two snapshots can be
+// differenced to rate a time window. Entries is the current resident plan
+// count.
 type CacheStats struct {
 	// Hits counts Analyze calls answered from the cache.
 	Hits int64
 	// Misses counts Analyze calls that ran the full analysis.
 	Misses int64
-	// Evictions counts plans dropped to keep a shard under its bound.
+	// Evictions counts plans dropped to keep the cache under its bound.
 	Evictions int64
-	// Records counts feedback observations folded into cached entries
-	// (Cache.Record calls that were not ignored).
-	Records int64
-	// Replans counts entries invalidated by the prediction-error feedback
-	// loop (sustained drift; the next Analyze of the product re-plans).
+	// Replans counts the misses that found a resident plan for the key but
+	// re-analyzed anyway: the plan's kernels need sorted rows and the
+	// current M or A is unsorted (the key buckets M and A only by size).
 	Replans int64
 	// Entries is the resident plan count at snapshot time.
 	Entries int
-	// Capacity is the cache-wide entry bound (perShard × Shards).
+	// Capacity is the entry bound.
 	Capacity int
-	// Shards is the number of lock stripes.
-	Shards int
 }
 
 // Analyze returns a cached plan for the operands if one exists, else runs
@@ -202,54 +151,54 @@ type CacheStats struct {
 // A cached plan whose kernels require sorted rows (the key buckets M and A
 // only by size, and the sweep may present different matrices) is revalidated
 // against the current M and A before reuse; B is part of the key's identity,
-// so its sortedness cannot have changed.
+// so its sortedness cannot have changed. A failed revalidation re-analyzes
+// and counts as both a miss and a replan.
 func (c *Cache) Analyze(m, a, b *matrix.Pattern, opt core.Options) *Plan {
 	key := makeKey(m, a, b, opt)
-	sh := c.shard(key)
-	sh.mu.Lock()
+	c.mu.Lock()
 	var p *Plan
-	if el, ok := sh.plans[key]; ok {
+	if el, ok := c.plans[key]; ok {
 		p = el.Value.(*cacheEntry).plan
-		sh.lru.MoveToFront(el)
+		c.lru.MoveToFront(el)
 	}
-	sh.mu.Unlock()
-	if p != nil && (!p.NeedsSortedRows() || (sortedRows(m, opt.Workers()) && sortedRows(a, opt.Workers()))) {
-		c.hits.Add(1)
-		hit := *p
-		hit.CacheHit = true
-		return &hit
+	c.mu.Unlock()
+	if p != nil {
+		if !p.NeedsSortedRows() || (sortedRows(m, opt.Workers()) && sortedRows(a, opt.Workers())) {
+			c.hits.Add(1)
+			hit := *p
+			hit.CacheHit = true
+			return &hit
+		}
+		c.replans.Add(1)
 	}
 	p = AnalyzeModel(m, a, b, opt, c.Model())
 	c.misses.Add(1)
-	sh.mu.Lock()
-	if el, ok := sh.plans[key]; ok {
-		// Another request analyzed the same product while we did: the plans
-		// are equivalent, so install ours in the resident entry (no pointer
-		// identity is promised between Analyze results) and refresh its
-		// recency. The entry's feedback state carries over — the plans
-		// describe the same product, so its prediction history stays valid.
-		p.fb = el.Value.(*cacheEntry).plan.fb
+	c.mu.Lock()
+	if el, ok := c.plans[key]; ok {
+		// The resident plan failed revalidation, or another request
+		// analyzed the same product while we did: either way install ours
+		// in the resident entry (no pointer identity is promised between
+		// Analyze results) and refresh its recency.
 		el.Value.(*cacheEntry).plan = p
-		sh.lru.MoveToFront(el)
+		c.lru.MoveToFront(el)
 	} else {
-		if sh.lru.Len() >= c.perShard {
-			tail := sh.lru.Back()
-			sh.lru.Remove(tail)
-			delete(sh.plans, tail.Value.(*cacheEntry).key)
+		if c.lru.Len() >= c.capacity {
+			tail := c.lru.Back()
+			c.lru.Remove(tail)
+			delete(c.plans, tail.Value.(*cacheEntry).key)
 			c.evictions.Add(1)
 		}
-		p.fb = &feedback{key: key}
-		sh.plans[key] = sh.lru.PushFront(&cacheEntry{key: key, plan: p})
+		c.plans[key] = c.lru.PushFront(&cacheEntry{key: key, plan: p})
 	}
-	sh.mu.Unlock()
+	c.mu.Unlock()
 	return p
 }
 
 // SetModel installs the cost model subsequent misses analyze with (nil
 // resets to DefaultModel). Resident plans are not re-analyzed — their
-// entries age out by LRU, bucket change or feedback invalidation — so a
-// session calibrates once, before its first products, and serving sessions
-// can still swap models live without a stop-the-world.
+// entries age out by LRU or bucket change — so a session calibrates once,
+// before its first products, and serving sessions can still swap models
+// live without a stop-the-world.
 func (c *Cache) SetModel(m *Model) { c.model.Store(m) }
 
 // Model returns the cost model cache misses analyze with (never nil).
@@ -267,46 +216,36 @@ func (c *Cache) Model() *Model {
 // runs with.
 func (c *Cache) Peek(m, a, b *matrix.Pattern, opt core.Options) (*Plan, bool) {
 	key := makeKey(m, a, b, opt)
-	sh := c.shard(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if el, ok := sh.plans[key]; ok {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.plans[key]; ok {
 		return el.Value.(*cacheEntry).plan, true
 	}
 	return nil, false
 }
 
-// Stats returns a snapshot of the cache counters. Hits, Misses and
-// Evictions never decrease over the cache's lifetime.
+// Stats returns a snapshot of the cache counters. Hits, Misses, Evictions
+// and Replans never decrease over the cache's lifetime.
 func (c *Cache) Stats() CacheStats {
-	st := CacheStats{
+	c.mu.Lock()
+	entries := len(c.plans)
+	c.mu.Unlock()
+	return CacheStats{
 		Hits:      c.hits.Load(),
 		Misses:    c.misses.Load(),
 		Evictions: c.evictions.Load(),
-		Records:   c.records.Load(),
 		Replans:   c.replans.Load(),
-		Capacity:  c.perShard * len(c.shards),
-		Shards:    len(c.shards),
+		Entries:   entries,
+		Capacity:  c.capacity,
 	}
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		st.Entries += len(sh.plans)
-		sh.mu.Unlock()
-	}
-	return st
 }
 
-// Reset drops all cached plans. The hit/miss/eviction counters are *not*
-// reset: they are monotonic for the cache's lifetime so that stats
-// snapshots can always be differenced (a serving dashboard must never see a
-// counter run backwards).
+// Reset drops all cached plans. The counters are *not* reset: they are
+// monotonic for the cache's lifetime so that stats snapshots can always be
+// differenced (a serving dashboard must never see a counter run backwards).
 func (c *Cache) Reset() {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		sh.plans = make(map[cacheKey]*list.Element)
-		sh.lru.Init()
-		sh.mu.Unlock()
-	}
+	c.mu.Lock()
+	c.plans = make(map[cacheKey]*list.Element)
+	c.lru.Init()
+	c.mu.Unlock()
 }

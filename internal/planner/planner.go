@@ -91,8 +91,8 @@ type Block struct {
 	RunRows, NonEmptyRows int64
 	// PredictedNs is the cost model's serial-kernel-time estimate for the
 	// block in nanoseconds (Model.NsPerUnit × the block's cost units); 0 on
-	// degenerate plans. The drivers' measured per-block times are compared
-	// against it by the feedback loop.
+	// degenerate plans. Explain shows the drivers' measured per-block time
+	// next to it when the plan carries an Exec stamp.
 	PredictedNs float64
 	// Reason is a one-line human explanation of the choice.
 	Reason string
@@ -126,16 +126,12 @@ type Plan struct {
 	Ops string
 	// PredictedNs is the cost model's end-to-end serial-kernel-time estimate
 	// in nanoseconds (the sum of the blocks' PredictedNs); 0 on degenerate
-	// plans. The feedback loop divides measured execution time by it.
+	// plans. Explain divides an Exec stamp's measured time by it.
 	PredictedNs float64
 	// Exec carries the observed timing of one execution, stamped by the
 	// masked session on the copy it hands out (like Ops) — nil on cached
 	// plans, which are shared across callers and stay immutable.
 	Exec *ExecStats
-	// fb is the prediction-error feedback state shared by every copy of a
-	// cached plan (shallow copies carry the pointer); nil on plans that
-	// never entered a Cache. See Cache.Record.
-	fb *feedback
 }
 
 // Schedule names the row schedule the drivers will run this plan with: the
@@ -230,11 +226,11 @@ func (p *Plan) Explain() string {
 		sb.WriteString("\n")
 	}
 	if e := p.Exec; e != nil {
-		fmt.Fprintf(&sb, "feedback: predicted %s, actual %s", fmtNs(p.PredictedNs), fmtNs(float64(e.ActualNs)))
+		fmt.Fprintf(&sb, "exec: predicted %s, actual %s", fmtNs(p.PredictedNs), fmtNs(float64(e.ActualNs)))
 		if p.PredictedNs > 0 {
 			fmt.Fprintf(&sb, " (ratio %.2f)", float64(e.ActualNs)/p.PredictedNs)
 		}
-		fmt.Fprintf(&sb, ", ewma %.2f over %d exec(s)\n", e.Feedback.EWMA, e.Feedback.Execs)
+		sb.WriteString("\n")
 	}
 	for i, b := range p.Blocks {
 		fmt.Fprintf(&sb, "  rows [%d,%d) → %s mask=%s sched=%s: %s (mask nnz=%d, flops=%d)",
@@ -316,8 +312,8 @@ func Analyze(m, a, b *matrix.Pattern, opt core.Options) *Plan {
 // AnalyzeModel is Analyze selecting with the given cost-model coefficients
 // (nil means DefaultModel, which reproduces the hand-tuned constants
 // exactly). The model also prices the emitted plan: Plan.PredictedNs and
-// each block's PredictedNs carry the model's serial-time estimate, the
-// baseline the feedback loop compares measured execution times against.
+// each block's PredictedNs carry the model's serial-time estimate, which
+// Explain shows next to measured execution times.
 func AnalyzeModel(m, a, b *matrix.Pattern, opt core.Options, mdl *Model) *Plan {
 	if mdl == nil {
 		mdl = DefaultModel()

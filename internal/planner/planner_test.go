@@ -339,9 +339,15 @@ func TestCacheRevalidatesSortedness(t *testing.T) {
 			m2.Col[lo], m2.Col[hi-1] = m2.Col[hi-1], m2.Col[lo]
 		}
 	}
+	if got := c.Stats().Replans; got != 0 {
+		t.Fatalf("Replans = %d before any revalidation, want 0", got)
+	}
 	p2 := c.Analyze(m2.Pattern(), g.Pattern(), g.Pattern(), core.Options{})
 	if p2.CacheHit {
 		t.Fatal("unsorted mask must not reuse a sorted-rows plan")
+	}
+	if st := c.Stats(); st.Replans != 1 || st.Misses != 2 {
+		t.Fatalf("failed revalidation: Replans = %d, Misses = %d; want 1 and 2", st.Replans, st.Misses)
 	}
 	for alg := range planAlgs(p2) {
 		if alg != core.MSA && alg != core.Hash {
@@ -351,6 +357,9 @@ func TestCacheRevalidatesSortedness(t *testing.T) {
 	// The sorted mask still hits afterwards (revalidation passes).
 	if p3 := c.Analyze(m1.Pattern(), g.Pattern(), g.Pattern(), core.Options{}); !p3.CacheHit {
 		t.Fatal("sorted mask should revalidate and hit")
+	}
+	if got := c.Stats().Replans; got != 1 {
+		t.Fatalf("Replans = %d after a sorted hit, want it to stay 1", got)
 	}
 }
 

@@ -134,11 +134,10 @@ func writeProm(w io.Writer, m MetricsSnapshot) {
 	gauge("mspgemm_operand_intern_bytes", "Bytes retained by interned operand copies.", float64(m.InternBytes))
 
 	c := m.Session.Cache
-	fmt.Fprintf(w, "# HELP mspgemm_plan_cache_total Plan cache events.\n# TYPE mspgemm_plan_cache_total counter\n")
+	fmt.Fprintf(w, "# HELP mspgemm_plan_cache_total Plan cache events (replan: a resident plan needing sorted rows re-analyzed for unsorted operands).\n# TYPE mspgemm_plan_cache_total counter\n")
 	fmt.Fprintf(w, "mspgemm_plan_cache_total{event=\"hit\"} %d\n", c.Hits)
 	fmt.Fprintf(w, "mspgemm_plan_cache_total{event=\"miss\"} %d\n", c.Misses)
 	fmt.Fprintf(w, "mspgemm_plan_cache_total{event=\"eviction\"} %d\n", c.Evictions)
-	fmt.Fprintf(w, "mspgemm_plan_cache_total{event=\"record\"} %d\n", c.Records)
 	fmt.Fprintf(w, "mspgemm_plan_cache_total{event=\"replan\"} %d\n", c.Replans)
 	gauge("mspgemm_plan_cache_entries", "Resident cached plans.", float64(c.Entries))
 

@@ -284,6 +284,7 @@ func TestMetricsEndpoints(t *testing.T) {
 	for _, want := range []string{
 		"mspgemm_requests_total{endpoint=\"multiply\"}",
 		"mspgemm_plan_cache_total{event=\"hit\"}",
+		"mspgemm_plan_cache_total{event=\"replan\"}",
 		"mspgemm_arbiter_admitted_total",
 		"mspgemm_driver_pool_gets_total",
 		"# TYPE mspgemm_uptime_seconds gauge",

@@ -64,8 +64,8 @@
 // queries one goroutine, heavy products the spare budget, released budget
 // rebalanced to stragglers mid-request); and identical concurrent requests
 // — same operands, mask mode and semiring — are computed once, sharing
-// the immutable result (single-flight). The plan cache behind this is
-// lock-striped and LRU-bounded (WithPlanCacheCapacity); PlanCacheStats
+// the immutable result (single-flight). The plan cache behind this is one
+// mutex-guarded, LRU-bounded map (WithPlanCacheCapacity); PlanCacheStats
 // and ServingStats expose monotonic counters for dashboards. See
 // PERFORMANCE.md for the tuning guide.
 package masked
@@ -201,14 +201,10 @@ type BlockStat = core.BlockStat
 // counters and occupancy; see Session.PlanCacheStats.
 type CacheStats = planner.CacheStats
 
-// ExecStats is one observed execution of a plan — measured kernel time and
-// the feedback state after recording it — stamped on the plan copies
-// MultiplyAuto returns; see planner.ExecStats.
+// ExecStats is one observed execution of a plan — measured kernel time in
+// total and per block — stamped on the plan copies MultiplyAuto returns;
+// see planner.ExecStats.
 type ExecStats = planner.ExecStats
-
-// FeedbackState is a snapshot of a cached plan's prediction-error feedback
-// loop; see planner.FeedbackState.
-type FeedbackState = planner.FeedbackState
 
 // Model is the planner's parameterized cost model; sessions install a
 // host-calibrated one under WithCalibration. See planner.Model.

@@ -236,8 +236,8 @@ func WithCalibration(c Calibration) Op {
 	return func(d *opSpec) { d.calib = c }
 }
 
-// WithPlanCacheCapacity bounds the session plan cache to roughly n entries
-// (LRU-evicted per shard; 0 = planner.DefaultCacheCapacity). It only takes
+// WithPlanCacheCapacity bounds the session plan cache to n entries
+// (LRU-evicted; 0 = planner.DefaultCacheCapacity). It only takes
 // effect on NewSession — the cache is constructed once per session — and is
 // ignored on individual operations.
 func WithPlanCacheCapacity(n int) Op {
@@ -325,18 +325,16 @@ func (s *Session) execute(d opSpec, o Options, m *Pattern, a, b *Matrix) (*Matri
 	c, err := planner.Execute(p, m, a, b, d.semiring(), o, &stats)
 	q := stampOps(p, d.semiring())
 	if err == nil {
-		// Close the feedback loop: fold the drivers' measured per-block
-		// kernel time into the cached entry's prediction-error state, and
-		// stamp the observation on the returned copy (never the shared
-		// cached plan) so Explain can show predicted vs actual.
+		// Stamp the drivers' measured per-block kernel time on the returned
+		// copy (never the shared cached plan) so Explain can show predicted
+		// vs actual.
 		var actual int64
 		blockNs := make([]int64, len(stats))
 		for i, bs := range stats {
 			actual += bs.ElapsedNs
 			blockNs[i] = bs.ElapsedNs
 		}
-		fb, _ := s.cache.Record(p, actual)
-		q = q.WithExec(planner.ExecStats{ActualNs: actual, BlockNs: blockNs, Feedback: fb})
+		q = q.WithExec(planner.ExecStats{ActualNs: actual, BlockNs: blockNs})
 	}
 	return c, q, err
 }
@@ -364,9 +362,9 @@ func (s *Session) Explain(m *Pattern, a, b *Matrix, opts ...Op) *Plan {
 }
 
 // PlanCacheStats returns a snapshot of the session plan cache's counters:
-// hits, misses, evictions (all monotonic over the session's lifetime, so two
-// snapshots can be differenced to rate a serving window), the resident entry
-// count, and the configured capacity and shard count.
+// hits, misses, evictions and replans (all monotonic over the session's
+// lifetime, so two snapshots can be differenced to rate a serving window),
+// the resident entry count, and the configured capacity.
 func (s *Session) PlanCacheStats() CacheStats { return s.cache.Stats() }
 
 // --- Applications ---

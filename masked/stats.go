@@ -46,9 +46,9 @@ type CalibrationStats struct {
 // Stats is one unified snapshot of a session's observability counters:
 // the plan cache, the serving arbiter, the driver buffer pools, and the
 // session's calibration. The monotonic fields within each component (hits,
-// misses, evictions, records, replans, admitted, steals, top-ups,
-// rejections, pool gets/misses) can be differenced between two snapshots to
-// rate a serving window; the rest describe the moment of the snapshot.
+// misses, evictions, replans, admitted, steals, top-ups, rejections, pool
+// gets/misses) can be differenced between two snapshots to rate a serving
+// window; the rest describe the moment of the snapshot.
 type Stats struct {
 	// Cache is the plan cache snapshot (Session.PlanCacheStats).
 	Cache CacheStats

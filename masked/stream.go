@@ -173,7 +173,7 @@ func (s *Session) refreshLocked(ctx context.Context, p *DeltaProduct) (c *Matrix
 		o := s.options(ctx, p.d)
 		if first {
 			// The full initial product goes through the ordinary session
-			// path: plan cache, feedback recording, chaos point.
+			// path: plan cache, execution stamp, chaos point.
 			c, _, err := s.execute(p.d, o, msub, asub, b)
 			return c, err
 		}
